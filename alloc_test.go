@@ -2,8 +2,11 @@ package rsonpath
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
+
+	"rsonpath/internal/jsongen"
 )
 
 // The allocation ceilings below are regression guards for the scratch pools
@@ -64,5 +67,60 @@ func TestRunLinesParallelAllocs(t *testing.T) {
 	})
 	if per := got / records; per > 20 {
 		t.Fatalf("Query.RunLinesParallel: %.2f allocs/record, want <= 20", per)
+	}
+}
+
+// TestRunAllocPins pins the per-call allocations of the hot entry points,
+// all of which run through the one execution core: the core's policy —
+// limits, watchdog, supervision — must cost nothing per run beyond what the
+// engines themselves allocate. Counts are exact steady-state measurements
+// (Go 1.24, amd64), not padded ceilings; a new per-run allocation, such as
+// an emit adapter closure escaping into an engine, fails here.
+func TestRunAllocPins(t *testing.T) {
+	big, err := jsongen.Generate("crossref", 0, 1) // ~9.4 MB
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := jsongen.Generate("crossref", 16<<10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustCompile("$..affiliation..name")
+	s := MustCompileSet([]string{"$..affiliation..name", "$..title"})
+	idx, err := Index(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pins := []struct {
+		name string
+		runs int
+		max  float64
+		run  func() error
+	}{
+		{"Query.Count", 5, 6, func() error { _, err := q.Count(big); return err }},
+		{"Query.CountIndexed", 5, 5, func() error { _, err := q.CountIndexed(idx); return err }},
+		{"QuerySet.Run", 5, 6, func() error { return s.Run(big, func(int, int) {}) }},
+		{"Query.RunContext", 50, 4, func() error { return q.RunContext(ctx, small, func(int) {}) }},
+		{"Query.RunSupervised", 50, 11, func() error {
+			_, err := q.RunSupervised(ctx, small, func(int) {})
+			return err
+		}},
+	}
+	for _, p := range pins {
+		var runErr error
+		got := testing.AllocsPerRun(p.runs, func() {
+			if err := p.run(); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatalf("%s: %v", p.name, runErr)
+		}
+		t.Logf("%s: %.1f allocs/call", p.name, got)
+		if got > p.max {
+			t.Errorf("%s: %.1f allocs/call, want <= %.0f", p.name, got, p.max)
+		}
 	}
 }

@@ -9,6 +9,7 @@ package rsonpath_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -41,7 +42,7 @@ func benchSpec(b *testing.B, id string, kind rsonpath.EngineKind) {
 		b.Fatal(err)
 	}
 	q, err := rsonpath.Compile(spec.Query, rsonpath.WithEngine(kind))
-	if err == rsonpath.ErrUnsupportedQuery {
+	if errors.Is(err, rsonpath.ErrUnsupportedQuery) {
 		b.Skipf("%s unsupported by %v", id, kind)
 	}
 	if err != nil {

@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"rsonpath/internal/faultreader"
 	"rsonpath/internal/simd"
 )
 
@@ -196,6 +198,46 @@ func TestCLITimeoutExpires(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "cancel") && !strings.Contains(stderr, "deadline") {
 		t.Fatalf("stderr %q does not report the deadline", stderr)
+	}
+}
+
+// TestCLITimeoutStalledStdin: the default values mode streams stdin, and a
+// -timeout deadline must reach a stdin that stops delivering bytes: the
+// run exits with the cancellation code instead of hanging.
+func TestCLITimeoutStalledStdin(t *testing.T) {
+	unblock := make(chan struct{})
+	t.Cleanup(func() { close(unblock) })
+	doc := []byte(`{"pad": "` + strings.Repeat("x", 4096) + `", "a": 1}`)
+	stdin := faultreader.Blocking(doc, 1024, unblock)
+	type result struct {
+		code   int
+		stderr string
+	}
+	done := make(chan result, 1)
+	go func() {
+		var out, errb bytes.Buffer
+		code := run([]string{"-timeout", "50ms", "$.a"}, stdin, &out, &errb)
+		done <- result{code, errb.String()}
+	}()
+	select {
+	case r := <-done:
+		if r.code != exitIO || !strings.Contains(r.stderr, "canceled") {
+			t.Fatalf("exit %d, stderr %q; want exit %d reporting the cancellation", r.code, r.stderr, exitIO)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("values mode on a stalled stdin still running 2 s after its 50 ms deadline")
+	}
+}
+
+// TestCLIUnsupportedEngineFragment: a query outside a restricted engine's
+// fragment is a usage error naming the refusing engine and the selector.
+func TestCLIUnsupportedEngineFragment(t *testing.T) {
+	code, _, stderr := cli(t, `{"a": 1}`, "-engine", "stackless", "$.a")
+	if code != exitUsage {
+		t.Fatalf("exit %d, want %d (stderr %q)", code, exitUsage, stderr)
+	}
+	if !strings.Contains(stderr, "engine stackless rejects selector .a") || strings.Contains(stderr, "ski") {
+		t.Fatalf("stderr %q does not name the refusing engine and selector", stderr)
 	}
 }
 

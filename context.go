@@ -3,15 +3,14 @@ package rsonpath
 import (
 	"context"
 	"io"
-
-	"rsonpath/internal/input"
-	"rsonpath/internal/planner"
 )
 
-// Context-aware streaming: RunReaderContext and QuerySet.RunReaderContext
-// observe ctx at every window refill — the natural cancellation points of a
-// window-bounded run — and return within one refill of cancellation, with
-// the error wrapping both ErrCanceled and the context's own error.
+// Context-aware streaming: a run whose context can be canceled — a
+// WithTimeout deadline, or the ctx of RunContext and the supervised entry
+// points — observes it at every window refill, the natural cancellation
+// points of a window-bounded run, and returns within one refill of
+// cancellation, with the error wrapping both ErrCanceled and the context's
+// own error.
 //
 // The underlying reader is driven from a helper goroutine so that a Read
 // blocked on a stalled source cannot outlive the caller's patience: on
@@ -98,62 +97,6 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 // a transparent re-run is impossible by construction. A configured
 // WithTimeout applies on top of ctx.
 func (q *Query) RunContext(ctx context.Context, data []byte, emit func(pos int)) error {
-	if q.sup.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, q.sup.timeout)
-		defer cancel()
-	}
-	return q.runCtx(ctx, data, emit)
-}
-
-// RunReaderContext is RunReader with cancellation: the run observes ctx at
-// every window refill and aborts with an error wrapping ErrCanceled (and
-// the context's own error) when ctx is done — even if the underlying reader
-// is blocked. Matches emitted before the cancellation have been delivered.
-func (q *Query) RunReaderContext(ctx context.Context, r io.Reader, emit func(pos int)) error {
-	sr, label, ok := q.planInputRunner(planner.DocStats{})
-	if !ok {
-		return ErrStreamingUnsupported
-	}
-	if q.sup.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, q.sup.timeout)
-		defer cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		return convertErr(err)
-	}
-	cr := newCtxReader(ctx, r)
-	defer cr.stop()
-	in := input.NewBuffered(cr, q.window)
-	defer in.Release()
-	if q.limits.maxDocBytes > 0 {
-		in.LimitDocBytes(q.limits.maxDocBytes)
-	}
-	return guardRun(label, func() error {
-		return sr.RunInput(in, q.limits.limitEmit(emit))
-	})
-}
-
-// RunReaderContext is QuerySet.RunReader with cancellation, with the same
-// contract as Query.RunReaderContext.
-func (s *QuerySet) RunReaderContext(ctx context.Context, r io.Reader, emit func(query, pos int)) error {
-	if s.sup.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.sup.timeout)
-		defer cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		return convertErr(err)
-	}
-	cr := newCtxReader(ctx, r)
-	defer cr.stop()
-	in := input.NewBuffered(cr, s.window)
-	defer in.Release()
-	if s.limits.maxDocBytes > 0 {
-		in.LimitDocBytes(s.limits.maxDocBytes)
-	}
-	return guardRun("queryset", func() error {
-		return s.set.RunInput(in, s.limits.limitEmit2(emit))
-	})
+	_, err := execute(ctx, q, source{data: data}, sink{pos: emit}, q.pol)
+	return err
 }

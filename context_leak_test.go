@@ -75,28 +75,24 @@ func TestCtxReaderPumpExitsOnCleanStop(t *testing.T) {
 	}
 }
 
-// TestRunReaderContextCancellationNoLeak repeats canceled streaming runs
-// against blocking readers and requires the goroutine count to settle back
-// to its baseline once the readers unblock — the end-to-end version of the
-// pump regression.
-func TestRunReaderContextCancellationNoLeak(t *testing.T) {
+// TestRunReaderCancellationNoLeak repeats streaming runs that hit their
+// WithTimeout deadline against blocking readers and requires the goroutine
+// count to settle back to its baseline once the readers unblock — the
+// end-to-end version of the pump regression.
+func TestRunReaderCancellationNoLeak(t *testing.T) {
 	const window = 512
 	doc := []byte(`{"pad": "` + strings.Repeat("x", 4*window) + `", "a": 1}`)
-	q := MustCompile("$.a", WithStreamWindow(window))
+	q := MustCompile("$.a", WithStreamWindow(window), WithTimeout(10*time.Millisecond))
 
 	before := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
 		unblock := make(chan struct{})
 		r := faultreader.Blocking(doc, window, unblock)
-		ctx, cancel := context.WithCancel(context.Background())
-		time.AfterFunc(10*time.Millisecond, cancel)
-		if err := q.RunReaderContext(ctx, r, func(int) {}); !errors.Is(err, ErrCanceled) {
+		if err := q.RunReader(r, func(int) {}); !errors.Is(err, ErrCanceled) {
 			close(unblock)
-			cancel()
 			t.Fatalf("run %d: err %v, want ErrCanceled", i, err)
 		}
 		close(unblock) // release the parked pump
-		cancel()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -36,6 +36,18 @@
 // WithSemantics; and EngineStackless, the depth-register automaton of the
 // paper's §3.2 for descendant-only label chains.
 //
+// # Running a query
+//
+// Every run method — in-memory (Run, Count, MatchValues, RunContext),
+// streaming (RunReader, RunReaderValues), indexed (Index, RunIndexed),
+// supervised (RunSupervised, RunReaderSupervised, RunIndexedSupervised),
+// and the QuerySet counterparts — goes through one execution core, so the
+// options apply alike to all of them: resource limits (WithMaxDepth,
+// WithMaxMatches, WithMaxDocBytes), the WithTimeout watchdog, the stream
+// window, and, on the supervised methods, the DOM fallback and retry. The
+// planner picks the strategy for each run; Explain shows its decision and
+// WithEngine pins the engine.
+//
 // Query composition (Pipeline), newline-delimited streaming (RunLines),
 // value extraction (ValueAt), and string decoding (DecodeString) round out
 // the library surface.

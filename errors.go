@@ -26,9 +26,9 @@ var ErrMalformed = errors.New("rsonpath: malformed JSON input")
 // *LimitError.
 var ErrLimitExceeded = errors.New("rsonpath: resource limit exceeded")
 
-// ErrCanceled is the sentinel wrapped by errors returned from the
-// RunReaderContext family when the context is canceled or its deadline
-// expires; the context's own error is wrapped alongside it, so
+// ErrCanceled is the sentinel wrapped by the error of a run whose context
+// is canceled or whose deadline (the caller's or WithTimeout's) expires;
+// the context's own error is wrapped alongside it, so
 // errors.Is(err, context.Canceled) also works.
 var ErrCanceled = errors.New("rsonpath: run canceled")
 
@@ -166,40 +166,36 @@ func (l limits) checkDocBytes(n int) error {
 // safe.
 type abortRun struct{ err error }
 
-// limitEmit wraps an emit callback with the match-count limit: the first
-// maxMatches matches are delivered, and finding one more aborts the run
-// with a *LimitError.
-func (l limits) limitEmit(emit func(int)) func(int) {
+// wrap applies the match-count limit to s: the first maxMatches matches
+// are delivered, and finding one more aborts the run with a *LimitError.
+// Across a QuerySet the limit bounds the total over all queries.
+func (l limits) wrap(s sink) sink {
 	if l.maxMatches <= 0 {
-		return emit
+		return s
 	}
-	n := 0
-	max := l.maxMatches
-	return func(pos int) {
-		if n >= max {
-			panic(abortRun{errs.MatchesLimit(max, pos)})
-		}
-		n++
-		emit(pos)
+	m := &matchLimit{max: l.maxMatches, s: s}
+	if s.pair != nil {
+		return sink{pair: m.pair}
 	}
+	return sink{pos: m.pos}
 }
 
-// limitEmit2 is limitEmit for the two-argument QuerySet callback; the limit
-// applies to the total across all queries in the set.
-func (l limits) limitEmit2(emit func(query, pos int)) func(query, pos int) {
-	if l.maxMatches <= 0 {
-		return emit
-	}
-	n := 0
-	max := l.maxMatches
-	return func(query, pos int) {
-		if n >= max {
-			panic(abortRun{errs.MatchesLimit(max, pos)})
-		}
-		n++
-		emit(query, pos)
-	}
+// matchLimit counts the matches of one attempt.
+type matchLimit struct {
+	n, max int
+	s      sink
 }
+
+func (m *matchLimit) admit(pos int) {
+	if m.n >= m.max {
+		panic(abortRun{errs.MatchesLimit(m.max, pos)})
+	}
+	m.n++
+}
+
+func (m *matchLimit) pos(pos int) { m.admit(pos); m.s.pos(pos) }
+
+func (m *matchLimit) pair(query, pos int) { m.admit(pos); m.s.pair(query, pos) }
 
 // guardRun executes one run with panic containment and error typing: fn's
 // error is converted to the public vocabulary, an abortRun panic becomes

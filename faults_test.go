@@ -414,10 +414,11 @@ func TestQuerySetLimits(t *testing.T) {
 	}
 }
 
-// TestRunReaderContextCancellation cancels a run whose reader is blocked
-// mid-document and requires the run to return promptly — within one window
-// refill — with an error wrapping both ErrCanceled and context.Canceled.
-func TestRunReaderContextCancellation(t *testing.T) {
+// TestRunReaderSupervisedCancellation cancels a run whose reader is
+// blocked mid-document and requires the run to return promptly — within
+// one window refill — with an error wrapping both ErrCanceled and
+// context.Canceled.
+func TestRunReaderSupervisedCancellation(t *testing.T) {
 	const window = 512
 	doc := []byte(`{"pad": "` + strings.Repeat("x", 4*window) + `", "a": 1}`)
 
@@ -430,7 +431,10 @@ func TestRunReaderContextCancellation(t *testing.T) {
 
 	q := MustCompile("$.a", WithStreamWindow(window))
 	done := make(chan error, 1)
-	go func() { done <- q.RunReaderContext(ctx, r, func(int) {}) }()
+	go func() {
+		_, err := q.RunReaderSupervised(ctx, func() (io.Reader, error) { return r, nil }, func(int) {})
+		done <- err
+	}()
 
 	select {
 	case err := <-done:
@@ -445,47 +449,92 @@ func TestRunReaderContextCancellation(t *testing.T) {
 	}
 }
 
-func TestQuerySetRunReaderContextCancellation(t *testing.T) {
-	const window = 512
-	doc := []byte(`{"pad": "` + strings.Repeat("y", 4*window) + `", "a": 1}`)
-
+// stalledRun starts run against a reader that delivers one window and then
+// blocks, and requires it to return within 2 s with an error wrapping
+// ErrCanceled and context.DeadlineExceeded: the WithTimeout watchdog must
+// reach a Read that never returns.
+func stalledRun(t *testing.T, window int, run func(r io.Reader) error) {
+	t.Helper()
+	doc := []byte(`{"pad": "` + strings.Repeat("x", 4*window) + `", "a": 1}`)
 	unblock := make(chan struct{})
 	defer close(unblock)
 	r := faultreader.Blocking(doc, window, unblock)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(50*time.Millisecond, cancel)
-
-	set := MustCompileSet([]string{"$..a", "$..b"}, WithStreamWindow(window))
 	done := make(chan error, 1)
-	go func() { done <- set.RunReaderContext(ctx, r, func(int, int) {}) }()
-
+	go func() { done <- run(r) }()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("err %v, want wrap of ErrCanceled and context.Canceled", err)
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err %v, want wrap of ErrCanceled and context.DeadlineExceeded", err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("query-set run did not return after cancellation")
+	case <-time.After(2 * time.Second):
+		t.Fatal("run still blocked 2 s after its 50 ms deadline")
 	}
 }
 
-func TestRunReaderContextPreCanceled(t *testing.T) {
+func TestQuerySetRunReaderTimeoutCancellation(t *testing.T) {
+	set := MustCompileSet([]string{"$..a", "$..b"}, WithStreamWindow(512), WithTimeout(50*time.Millisecond))
+	stalledRun(t, 512, func(r io.Reader) error { return set.RunReader(r, func(int, int) {}) })
+}
+
+// TestRunReaderTimeoutStalled: RunReader and RunReaderValues (the CLI's
+// default values mode on stdin) both honor WithTimeout against a stalled
+// reader.
+func TestRunReaderTimeoutStalled(t *testing.T) {
+	q := MustCompile("$.a", WithStreamWindow(512), WithTimeout(50*time.Millisecond))
+	stalledRun(t, 512, func(r io.Reader) error { return q.RunReader(r, func(int) {}) })
+	stalledRun(t, 512, func(r io.Reader) error { return q.RunReaderValues(r, func(int, []byte) {}) })
+}
+
+// TestMatchValuesTimeout: MatchValues honors WithTimeout like Count does, on
+// a document many stream windows long.
+func TestMatchValuesTimeout(t *testing.T) {
+	doc := []byte(`[` + strings.Repeat(`{"a": 1}, `, 200_000) + `{"a": 1}]`)
+	q := MustCompile("$[*].a", WithTimeout(time.Nanosecond))
+	if _, err := q.Count(doc); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Count err %v, want ErrCanceled", err)
+	}
+	vals, err := q.MatchValues(doc)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("MatchValues returned %d values, err %v; want a wrap of ErrCanceled", len(vals), err)
+	}
+}
+
+// TestRunContextPreCanceled: a context canceled before the run starts
+// fails every context-taking entry point at entry.
+func TestRunContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := MustCompile("$.a").RunReaderContext(ctx, bytes.NewReader([]byte(`{"a": 1}`)), func(int) {})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err %v, want ErrCanceled", err)
+	doc := []byte(`{"a": 1}`)
+	q := MustCompile("$.a")
+	emitted := 0
+	emit := func(int) { emitted++ }
+	if err := q.RunContext(ctx, doc, emit); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("RunContext err %v, want ErrCanceled", err)
+	}
+	if _, err := q.RunSupervised(ctx, doc, emit); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("RunSupervised err %v, want ErrCanceled", err)
+	}
+	opened := false
+	_, err := q.RunReaderSupervised(ctx, func() (io.Reader, error) {
+		opened = true
+		return bytes.NewReader(doc), nil
+	}, emit)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunReaderSupervised err %v, want ErrCanceled", err)
+	}
+	if opened || emitted != 0 {
+		t.Fatalf("pre-canceled runs opened the input (%v) or emitted %d matches", opened, emitted)
 	}
 }
 
-func TestRunReaderContextCompletes(t *testing.T) {
-	// A run that finishes before cancellation behaves exactly like RunReader.
+// TestRunReaderTimeoutCompletes: a run that finishes before its deadline
+// behaves exactly like one without it, on the ctxReader-driven path.
+func TestRunReaderTimeoutCompletes(t *testing.T) {
 	doc := []byte(`{"a": 1, "b": {"a": 2}}`)
 	var offs []int
-	err := MustCompile("$..a").RunReaderContext(context.Background(),
+	err := MustCompile("$..a", WithTimeout(time.Minute)).RunReader(
 		bytes.NewReader(doc), func(pos int) { offs = append(offs, pos) })
-	if err != nil || len(offs) != 2 {
+	if err != nil || fmt.Sprint(offs) != "[6 20]" {
 		t.Fatalf("offs %v err %v", offs, err)
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"context"
 
 	"rsonpath/internal/classifier"
-	"rsonpath/internal/engine"
 	"rsonpath/internal/input"
-	"rsonpath/internal/planner"
-	"rsonpath/internal/supervisor"
 )
 
 // IndexedDocument is a document classified once and queried many times: the
@@ -81,19 +78,8 @@ func (d *IndexedDocument) Footprint() int {
 // On malformed input that slipped past Index's screens the run's
 // best-effort error positions may differ from Run's; see DESIGN.md §11.
 func (q *Query) RunIndexed(doc *IndexedDocument, emit func(pos int)) error {
-	e, ok := q.run.(*engine.Engine)
-	pl := q.plan(planner.DocStats{Bytes: len(doc.data), Indexed: ok})
-	if !ok || pl.Strategy != planner.StrategyIndexed {
-		// The plan diverted to a scan: no plane surface (baseline engine), or
-		// the watchdog needs the streaming path's cancellation points.
-		return q.Run(doc.data, emit)
-	}
-	if err := q.limits.checkDocBytes(len(doc.data)); err != nil {
-		return err
-	}
-	return guardRun(q.kind.String(), func() error {
-		return e.RunPlanes(doc.in, doc.planes, q.limits.limitEmit(emit))
-	})
+	_, err := execute(context.Background(), q, source{data: doc.data, doc: doc}, sink{pos: emit}, q.pol)
+	return err
 }
 
 // RunIndexedSupervised is RunIndexed under the execution supervisor: the
@@ -103,36 +89,10 @@ func (q *Query) RunIndexed(doc *IndexedDocument, emit func(pos int)) error {
 // only once the run settles; the Outcome reports which path produced them.
 // This is the serving path for a hot document cache: the index keeps the
 // classification amortized while degradation stays observable per request.
+// Like RunIndexed, it follows Explain's plan: a baseline engine, or a query
+// compiled WithTimeout, scans the document bytes instead.
 func (q *Query) RunIndexedSupervised(ctx context.Context, doc *IndexedDocument, emit func(pos int)) (Outcome, error) {
-	e, ok := q.run.(*engine.Engine)
-	if !ok {
-		// No plane surface to serve from; the supervised in-memory run is the
-		// same evaluation the unsupervised fallback in RunIndexed would do.
-		return q.RunSupervised(ctx, doc.data, emit)
-	}
-	var buf []int
-	primary := supervisor.Attempt{Engine: q.kind.String(), Run: func(actx context.Context) error {
-		buf = buf[:0]
-		if err := actx.Err(); err != nil {
-			return convertErr(err)
-		}
-		if err := q.limits.checkDocBytes(len(doc.data)); err != nil {
-			return err
-		}
-		return guardRun(q.kind.String(), func() error {
-			return e.RunPlanes(doc.in, doc.planes, q.limits.limitEmit(func(pos int) { buf = append(buf, pos) }))
-		})
-	}}
-	so, err := supervisor.Run(ctx, q.sup.policy(false), primary, q.oracleAttempt(doc.data, &buf))
-	oc := Outcome(so)
-	if err != nil && degradable(err) {
-		buf = nil
-	}
-	derr := deliverOffsets(oc.Engine, buf, emit)
-	if err == nil {
-		err = derr
-	}
-	return oc, err
+	return execute(ctx, q, source{data: doc.data, doc: doc}, sink{pos: emit}, q.pol.settled())
 }
 
 // CountIndexed returns the number of matches in the indexed document.
@@ -142,39 +102,11 @@ func (q *Query) CountIndexed(doc *IndexedDocument) (int, error) {
 	return n, err
 }
 
-// MatchOffsetsIndexed returns the byte offsets of all matched values in the
-// indexed document.
-func (q *Query) MatchOffsetsIndexed(doc *IndexedDocument) ([]int, error) {
-	var out []int
-	err := q.RunIndexed(doc, func(pos int) { out = append(out, pos) })
-	return out, err
-}
-
 // RunIndexed is QuerySet.Run over a pre-indexed document: the set's one
 // shared classification pass is served from the index, with the same match
 // order and error contract as Run on well-formed input. A set compiled
 // WithTimeout falls back to a plain Run (see Query.RunIndexed).
 func (s *QuerySet) RunIndexed(doc *IndexedDocument, emit func(query, pos int)) error {
-	if pl := s.plan(planner.DocStats{Bytes: len(doc.data), Indexed: true}); pl.Strategy != planner.StrategyIndexed {
-		// The watchdog needs the streaming path's cancellation points; the
-		// atomic plane-backed run is unavailable.
-		return s.Run(doc.data, emit)
-	}
-	if err := s.limits.checkDocBytes(len(doc.data)); err != nil {
-		return err
-	}
-	return guardRun("queryset", func() error {
-		return s.set.RunPlanes(doc.in, doc.planes, s.limits.limitEmit2(emit))
-	})
-}
-
-// CountsIndexed returns the number of matches of each query in the indexed
-// document, indexed like the queries passed to CompileSet.
-func (s *QuerySet) CountsIndexed(doc *IndexedDocument) ([]int, error) {
-	counts := make([]int, s.set.Len())
-	err := s.RunIndexed(doc, func(q, _ int) { counts[q]++ })
-	if err != nil {
-		return nil, err
-	}
-	return counts, nil
+	_, err := execute(context.Background(), s, source{data: doc.data, doc: doc}, sink{pair: emit}, s.pol)
+	return err
 }

@@ -25,7 +25,7 @@ func TestIndexedCompliance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			got, err := q.MatchOffsetsIndexed(doc)
+			got, err := offsetsIndexed(q, doc)
 			if err != nil {
 				t.Fatalf("RunIndexed: %v", err)
 			}
@@ -90,7 +90,7 @@ func TestIndexedFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := q.MatchOffsetsIndexed(doc)
+		got, err := offsetsIndexed(q, doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestIndexedFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, err := s.CountsIndexed(doc)
+	counts, err := countsIndexed(s, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestIndexedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 20; iter++ {
 				i := (g + iter) % len(queries)
-				got, err := queries[i].MatchOffsetsIndexed(doc)
+				got, err := offsetsIndexed(queries[i], doc)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -174,7 +174,7 @@ func FuzzIndexedEquivalence(f *testing.F) {
 		}
 		for i, q := range compiled {
 			want, werr := q.MatchOffsets(data)
-			got, gerr := q.MatchOffsetsIndexed(doc)
+			got, gerr := offsetsIndexed(q, doc)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("query %s on %q: direct err %v, indexed err %v", queries[i], data, werr, gerr)
 			}
@@ -192,4 +192,18 @@ func FuzzIndexedEquivalence(f *testing.F) {
 			t.Fatalf("set on %q: indexed %v, direct %v", data, gotSet, want)
 		}
 	})
+}
+
+// offsetsIndexed collects the offsets RunIndexed emits.
+func offsetsIndexed(q *Query, doc *IndexedDocument) ([]int, error) {
+	var out []int
+	err := q.RunIndexed(doc, func(pos int) { out = append(out, pos) })
+	return out, err
+}
+
+// countsIndexed counts the matches QuerySet.RunIndexed emits per query.
+func countsIndexed(s *QuerySet, doc *IndexedDocument) ([]int, error) {
+	counts := make([]int, s.Len())
+	err := s.RunIndexed(doc, func(q, _ int) { counts[q]++ })
+	return counts, err
 }

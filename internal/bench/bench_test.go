@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestEnginesAgreeOnAllSpecs(t *testing.T) {
 		}
 		for _, kind := range []rsonpath.EngineKind{rsonpath.EngineRsonpath, rsonpath.EngineSki} {
 			q, err := rsonpath.Compile(s.Query, rsonpath.WithEngine(kind))
-			if err == rsonpath.ErrUnsupportedQuery {
+			if errors.Is(err, rsonpath.ErrUnsupportedQuery) {
 				continue
 			}
 			if err != nil {

@@ -157,10 +157,10 @@ func (h *Harness) RunSpecOptimized(spec Spec, opt rsonpath.Optimizations, label 
 	if err != nil {
 		return Result{}, err
 	}
-	// Planner off: the ablation measures the configured toggles, and the
+	// Engine forced: the ablation measures the configured toggles, and the
 	// planner would otherwise reroute NoHeadSkip chains to stackless.
 	q, err := rsonpath.Compile(spec.Query,
-		rsonpath.WithOptimizations(opt), rsonpath.WithPlanner(rsonpath.PlannerOff))
+		rsonpath.WithOptimizations(opt), rsonpath.WithEngine(rsonpath.EngineRsonpath))
 	if err != nil {
 		return Result{}, err
 	}
@@ -244,14 +244,14 @@ func (h *Harness) RunStackless() ([]Result, error) {
 			err   error
 		}{label, q, err})
 	}
-	// Planner off on the first two variants: this experiment compares the
-	// simulation strategies directly, and under planner-auto the NoHeadSkip
-	// variant would itself be rerouted to the depth-register automaton.
-	q1, err1 := rsonpath.Compile(spec.Query, rsonpath.WithPlanner(rsonpath.PlannerOff))
+	// Engine forced on the first two variants: this experiment compares the
+	// simulation strategies directly, and unforced the NoHeadSkip variant
+	// would itself be rerouted to the depth-register automaton.
+	q1, err1 := rsonpath.Compile(spec.Query, rsonpath.WithEngine(rsonpath.EngineRsonpath))
 	add("engine", q1, err1)
 	q2, err2 := rsonpath.Compile(spec.Query,
 		rsonpath.WithOptimizations(rsonpath.Optimizations{NoHeadSkip: true}),
-		rsonpath.WithPlanner(rsonpath.PlannerOff))
+		rsonpath.WithEngine(rsonpath.EngineRsonpath))
 	add("depth-stack-only", q2, err2)
 	q3, err3 := rsonpath.Compile(spec.Query, rsonpath.WithEngine(rsonpath.EngineStackless))
 	add("depth-registers", q3, err3)

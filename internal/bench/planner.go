@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -179,7 +180,7 @@ func (h *Harness) RunPlanner() (PlannerReport, error) {
 		for _, kind := range []rsonpath.EngineKind{rsonpath.EngineRsonpath,
 			rsonpath.EngineSurfer, rsonpath.EngineStackless} {
 			q, err := rsonpath.Compile(c.Query, rsonpath.WithEngine(kind))
-			if err == rsonpath.ErrUnsupportedQuery {
+			if errors.Is(err, rsonpath.ErrUnsupportedQuery) {
 				res.Forced = append(res.Forced,
 					PlannerForced{Label: "scan-" + kind.String(), Unsupported: true})
 				continue

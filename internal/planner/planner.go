@@ -161,9 +161,6 @@ type Constraints struct {
 	Forced bool
 	// ForcedStrategy is the strategy of the forced engine.
 	ForcedStrategy Strategy
-	// PlannerOff disables the rules entirely (WithPlanner(PlannerOff)):
-	// the plan is the configured engine, exactly as if it were forced.
-	PlannerOff bool
 	// NoHeadSkip reports the caller disabled head-skip
 	// (WithOptimizations), which flips the best simulation strategy for
 	// descendant-only chains.
@@ -185,10 +182,6 @@ type Plan struct {
 // Decide maps (query shape × document stats × constraints) to a plan. It
 // is pure and allocation-free apart from the rationale string.
 func Decide(sh Shape, d DocStats, c Constraints) Plan {
-	if c.PlannerOff {
-		return upgradeIndexed(Plan{Strategy: c.ForcedStrategy, Rule: "planner-off",
-			Rationale: "planner disabled; running the configured engine"}, d, c)
-	}
 	if c.Forced {
 		return upgradeIndexed(Plan{Strategy: c.ForcedStrategy, Rule: "forced-engine",
 			Rationale: "engine forced by WithEngine"}, d, c)

@@ -25,28 +25,23 @@ func decide(t *testing.T, sh Shape, d DocStats, c Constraints, wantStrategy Stra
 	}
 }
 
-// TestPlannerOff pins the off switch: the configured engine runs, the only
-// remaining decision being the plane upgrade for an index in hand.
-func TestPlannerOff(t *testing.T) {
-	off := Constraints{PlannerOff: true, ForcedStrategy: StrategyHeadSkip}
-	decide(t, chainShape, DocStats{}, off, StrategyHeadSkip, "planner-off")
-	// Even with stats that would select stackless under auto.
-	decide(t, chainShape, DocStats{DenseMatches: true}, off, StrategyHeadSkip, "planner-off")
-	// An index in hand still serves the accelerated engine from the planes.
-	decide(t, chainShape, DocStats{Indexed: true}, off, StrategyIndexed, "indexed-available")
-	// Baseline engines have no plane surface, so no upgrade.
-	offDOM := Constraints{PlannerOff: true, ForcedStrategy: StrategyDOM}
-	decide(t, chainShape, DocStats{Indexed: true}, offDOM, StrategyDOM, "planner-off")
-}
-
 // TestForcedEngine pins WithEngine as a constraint, not a parallel path.
 func TestForcedEngine(t *testing.T) {
 	forced := Constraints{Forced: true, ForcedStrategy: StrategySurfer}
 	decide(t, chainShape, DocStats{}, forced, StrategySurfer, "forced-engine")
 	decide(t, chainShape, DocStats{Indexed: true}, forced, StrategySurfer, "forced-engine")
-	// A forced accelerated engine upgrades to the planes: the plane-backed
-	// run is the same engine fed from precomputed masks.
+	// Baseline engines have no plane surface, so no upgrade.
+	dom := Constraints{Forced: true, ForcedStrategy: StrategyDOM}
+	decide(t, chainShape, DocStats{Indexed: true}, dom, StrategyDOM, "forced-engine")
+	// A forced accelerated engine runs as configured, even with stats that
+	// would select stackless unforced...
 	acc := Constraints{Forced: true, ForcedStrategy: StrategyHeadSkip}
+	decide(t, chainShape, DocStats{}, acc, StrategyHeadSkip, "forced-engine")
+	decide(t, chainShape, DocStats{DenseMatches: true}, acc, StrategyHeadSkip, "forced-engine")
+	decide(t, chainShape, DocStats{}, Constraints{Forced: true, ForcedStrategy: StrategyHeadSkip, NoHeadSkip: true},
+		StrategyHeadSkip, "forced-engine")
+	// ...and upgrades to the planes: the plane-backed run is the same
+	// engine fed from precomputed masks.
 	decide(t, chainShape, DocStats{Indexed: true}, acc, StrategyIndexed, "indexed-available")
 	// ...unless the watchdog needs the streaming path.
 	accWD := Constraints{Forced: true, ForcedStrategy: StrategyHeadSkip, WatchdogArmed: true}

@@ -417,17 +417,23 @@ func TestServeBreakerFailFast(t *testing.T) {
 // proof: the client must hold the first frame while the run is still
 // provably in flight.
 type blockingRunner struct {
-	emitted chan struct{} // closed after the first emit
+	emitted chan struct{} // closed just before the first emit
 	release chan struct{} // the run blocks here before finishing
+	once    sync.Once
 }
 
 func (b *blockingRunner) RunContext(_ context.Context, _ []byte, emit func(pos int)) error {
-	emit(1)
+	// Closed before the emit: the client may read the frame the moment
+	// emit writes it, so closing afterwards would race the client's check.
 	close(b.emitted)
+	emit(1)
 	<-b.release
 	emit(5)
 	return nil
 }
+
+// unblock releases the parked run; safe to call more than once.
+func (b *blockingRunner) unblock() { b.once.Do(func() { close(b.release) }) }
 
 func (b *blockingRunner) RunSupervised(context.Context, []byte, func(pos int)) (rsonpath.Outcome, error) {
 	return rsonpath.Outcome{}, errors.New("buffered path must not be used")
@@ -451,6 +457,9 @@ func (b *blockingRunner) Explain(rsonpath.DocStats) rsonpath.Plan {
 func TestServeStreamFirstByte(t *testing.T) {
 	s, url := startServer(t, Config{})
 	br := &blockingRunner{emitted: make(chan struct{}), release: make(chan struct{})}
+	// A failed assertion must not leave the run parked behind the server's
+	// shutdown.
+	t.Cleanup(br.unblock)
 	s.compileQuery = func(string) (queryRunner, error) { return br, nil }
 
 	client := &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: 5 * time.Second}}
@@ -488,7 +497,7 @@ func TestServeStreamFirstByte(t *testing.T) {
 	default:
 	}
 
-	close(br.release)
+	br.unblock()
 	if line, err = rd.ReadString('\n'); err != nil || strings.TrimSpace(line) != `{"value":20}` {
 		t.Fatalf("second frame %q, %v", strings.TrimSpace(line), err)
 	}

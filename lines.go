@@ -74,21 +74,33 @@ func forEachLine(r io.Reader, fn func(line int, record []byte) error) error {
 // line. visit returning a non-nil error stops the scan and is returned
 // verbatim. Only a read error on r itself aborts the scan.
 func (q *Query) RunLines(r io.Reader, visit func(m LineMatch) error) error {
-	var scratch []int
+	var buf []int
 	return forEachLine(r, func(line int, record []byte) error {
-		offs, oc, err := q.runSupervisedOffsets(context.Background(), record, scratch)
-		scratch = offs
-		if err == nil && len(offs) == 0 && !oc.Degraded() {
-			return nil
-		}
-		m := LineMatch{Line: line, Record: record, Outcome: &oc}
-		if err != nil {
-			m.Err = err
-		} else {
-			m.Offsets = offs
-		}
-		return visit(m)
+		oc, err := settleRecord(context.Background(), q, q.pol, record, &buf)
+		return visitLine(line, record, buf, oc, err, visit)
 	})
+}
+
+// settleRecord evaluates one record under supervision, leaving the settled
+// matches in *buf (its capacity reused), as the evaluator's collect
+// buffers them.
+func settleRecord(ctx context.Context, ev evaluator, pol policy, record []byte, buf *[]int) (Outcome, error) {
+	pol.settle, pol.keep = true, buf
+	return execute(ctx, ev, source{data: record}, sink{}, pol)
+}
+
+// visitLine reports one settled record of a Query lines scan to visit: each
+// record with at least one match, each failed record, and each degraded
+// record.
+func visitLine(line int, record []byte, offs []int, oc Outcome, err error, visit func(m LineMatch) error) error {
+	if err == nil && len(offs) == 0 && !oc.Degraded() {
+		return nil
+	}
+	m := LineMatch{Line: line, Record: record, Outcome: &oc, Err: err}
+	if err == nil {
+		m.Offsets = offs
+	}
+	return visit(m)
 }
 
 // LineFailure describes one record of a CountLines scan that deserves

@@ -8,8 +8,8 @@ import "sort"
 // each matched subdocument; results keep node semantics (a set of nodes of
 // the original document, in document order) by deduplicating offsets across
 // stage outputs. Each stage run dispatches through its query's planner
-// (DESIGN.md §13), so a stage compiled under PlannerAuto picks its strategy
-// per subdocument.
+// (DESIGN.md §13), so a stage compiled without a forced engine picks its
+// strategy per subdocument.
 type Pipeline struct {
 	stages []*Query
 }

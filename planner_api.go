@@ -8,34 +8,11 @@ import (
 )
 
 // This file is the public face of the execution-plan layer (DESIGN.md
-// §13): every entry point of Query and QuerySet routes its dispatch
-// through plan(), which turns the compiled query's shape, the run-time
+// §13): the execution core (exec.go) routes every run of Query and
+// QuerySet through plan(), which turns the compiled query's shape, the run-time
 // document stats, and the resolved options into an ExecutionPlan. The
 // decision rules live in internal/planner; here they are bound to the
 // compiled artifacts and exposed through Explain.
-
-// PlannerMode selects how a Query picks its execution strategy per run.
-type PlannerMode int
-
-const (
-	// PlannerAuto (the default) lets the planner choose the cheapest
-	// correct strategy per run from the query shape and document stats:
-	// plane-backed runs when an index is in hand, the depth-register
-	// automaton where it is measured faster, head-skip streaming for
-	// sparse leading descendants, and so on (DESIGN.md §13 lists the
-	// rules). WithEngine still pins the engine — a forced engine is a
-	// planner constraint, not a separate dispatch path.
-	PlannerAuto PlannerMode = iota
-	// PlannerOff disables the rules: the configured engine runs every
-	// time, exactly as if it had been forced with WithEngine. Use it to
-	// pin measurements (ablations) or to freeze today's behavior.
-	PlannerOff
-)
-
-// WithPlanner selects the planner mode; the default is PlannerAuto.
-func WithPlanner(m PlannerMode) Option {
-	return func(c *config) { c.planner = m }
-}
 
 // IndexAmortizeRuns is the repeat-run count at which building a document
 // mask index is predicted to have repaid its build (BENCH_swar.json); the
@@ -88,8 +65,8 @@ func (p Plan) String() string {
 }
 
 // Explain returns the execution plan the query would follow for a run over
-// a document with the given stats — the decision RunPlanned and the other
-// entry points make, exposed for observability and for callers that
+// a document with the given stats — the decision every run method makes,
+// exposed for observability and for callers that
 // orchestrate their own amortization (building an IndexedDocument when the
 // plan says "indexed" but none exists yet). The output is deterministic:
 // the same query and stats always produce the same plan.
@@ -148,7 +125,7 @@ func shapeOf(parsed *jsonpath.Query) planner.Shape {
 		if sel.Wildcard {
 			sh.HasWildcard = true
 		}
-		if !sel.Descendant || sel.Wildcard || len(sel.Labels) != 1 || sel.SelectsIndices() {
+		if !stacklessSelector(sel) {
 			sh.DescendantChainOnly = false
 		}
 	}
@@ -188,63 +165,18 @@ func (q *Query) plan(stats planner.DocStats) planner.Plan {
 	return planner.Decide(q.shape, stats, planner.Constraints{
 		Forced:         q.forced,
 		ForcedStrategy: strategyForKind(q.kind, q.shape),
-		PlannerOff:     q.mode == PlannerOff,
 		NoHeadSkip:     q.noHeadSkip,
-		WatchdogArmed:  q.sup.timeout > 0,
+		WatchdogArmed:  q.pol.sup.timeout > 0,
 	})
 }
 
 // runnerFor resolves a plan to the runner that executes it and the engine
 // label reported in errors and Outcomes. StrategyIndexed resolves to the
-// primary engine: the plane-backed path is entered through RunIndexed,
-// which holds the planes; a plan that merely advises indexing (rule
-// "index-amortizes") scans normally until the caller builds the index.
+// primary engine: the plane-backed run is that engine fed from the planes
+// of an IndexedDocument in hand.
 func (q *Query) runnerFor(p planner.Plan) (runner, string) {
 	if p.Strategy == planner.StrategyStackless && q.stackless != nil {
 		return q.stackless, EngineStackless.String()
 	}
 	return q.run, q.kind.String()
-}
-
-// planRunner plans a run over stats and resolves the executing runner in
-// one step — the dispatch core shared by the public entry points.
-func (q *Query) planRunner(stats planner.DocStats) (runner, string) {
-	return q.runnerFor(q.plan(stats))
-}
-
-// planInputRunner is planRunner for the streaming entry points: it plans
-// with the streaming fact set and resolves the chosen runner's streaming
-// surface. ok is false when the planned engine cannot stream (EngineDOM).
-func (q *Query) planInputRunner(stats planner.DocStats) (inputRunner, string, bool) {
-	stats.Streaming = true
-	run, label := q.planRunner(stats)
-	sr, ok := run.(inputRunner)
-	return sr, label, ok
-}
-
-// RunPlanned is Run with the caller's document stats in the planner's
-// hands: the strategy is chosen from the query shape, the stats, and the
-// compiled options, the run executes it, and the decision is returned
-// alongside the result. Run(data, emit) is exactly RunPlanned(data,
-// DocStats{}, emit) with the plan discarded.
-//
-// A returned plan with Strategy "indexed" and stats.Indexed false is
-// advice: the run scanned this time, but building an IndexedDocument
-// (Index) and switching to RunIndexed is predicted to amortize over
-// stats.ExpectedRuns runs.
-func (q *Query) RunPlanned(data []byte, stats DocStats, emit func(pos int)) (Plan, error) {
-	st := stats.internal()
-	st.Bytes = len(data)
-	st.Streaming = false
-	pl := q.plan(st)
-	if q.sup.timeout > 0 {
-		return publicPlan(pl), q.Run(data, emit)
-	}
-	if err := q.limits.checkDocBytes(len(data)); err != nil {
-		return publicPlan(pl), err
-	}
-	run, label := q.runnerFor(pl)
-	return publicPlan(pl), guardRun(label, func() error {
-		return run.Run(data, q.limits.limitEmit(emit))
-	})
 }

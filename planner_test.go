@@ -2,27 +2,35 @@ package rsonpath
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"time"
+
+	"rsonpath/internal/classifier"
+	"rsonpath/internal/engine"
+	"rsonpath/internal/input"
 )
 
 // Tests for the execution-plan layer (DESIGN.md §13): the differential
 // suite pinning planner-auto results to every forced engine over the
 // compliance corpus, the Explain stability contract, the cache-key
-// regression, and the RunPlanned entry point.
+// regression, and the runs following Explain's plan.
 
-// autoVariants compiles the same query under every planner-auto
-// configuration whose dispatch can diverge: plain auto, auto with head-skip
-// disabled (flips descendant chains to the stackless alternate), and
-// planner off.
+// autoVariants compiles the same query under every planner configuration
+// whose dispatch can diverge: plain auto, auto with head-skip disabled
+// (flips descendant chains to the stackless alternate), and the engine
+// forced.
 var autoVariants = []struct {
 	name string
 	opts []Option
 }{
 	{"auto", nil},
 	{"auto-noheadskip", []Option{WithOptimizations(Optimizations{NoHeadSkip: true})}},
-	{"planner-off", []Option{WithPlanner(PlannerOff)}},
+	{"forced", []Option{WithEngine(EngineRsonpath)}},
 }
 
 // runCorpus is every compliance case, slices included.
@@ -55,7 +63,7 @@ func TestPlannerDifferentialRun(t *testing.T) {
 			}
 			for _, kind := range []EngineKind{EngineRsonpath, EngineSurfer, EngineDOM, EngineSki, EngineStackless} {
 				q, err := Compile(c.query, WithEngine(kind))
-				if err == ErrUnsupportedQuery {
+				if errors.Is(err, ErrUnsupportedQuery) {
 					continue // restricted fragments (ski, stackless)
 				}
 				if err != nil {
@@ -89,7 +97,7 @@ func TestPlannerDifferentialRun(t *testing.T) {
 func TestPlannerDifferentialRunReader(t *testing.T) {
 	for _, c := range plannerCorpus() {
 		t.Run(c.name, func(t *testing.T) {
-			ref := MustCompile(c.query, WithEngine(EngineRsonpath), WithPlanner(PlannerOff))
+			ref := MustCompile(c.query, WithEngine(EngineRsonpath))
 			var want []int
 			if err := ref.RunReader(strings.NewReader(c.doc), func(pos int) {
 				want = append(want, pos)
@@ -144,8 +152,8 @@ func TestExplainStable(t *testing.T) {
 			"strategy=head-skip engine=rsonpath rule=head-skip: leading descendant label: skip straight to each occurrence of the sought label"},
 		{"$..a", []Option{WithEngine(EngineSurfer)}, DocStats{},
 			"strategy=surfer engine=surfer rule=forced-engine: engine forced by WithEngine"},
-		{"$..a", []Option{WithPlanner(PlannerOff)}, DocStats{DenseMatches: true},
-			"strategy=head-skip engine=rsonpath rule=planner-off: planner disabled; running the configured engine"},
+		{"$..a", []Option{WithEngine(EngineRsonpath)}, DocStats{DenseMatches: true},
+			"strategy=head-skip engine=rsonpath rule=forced-engine: engine forced by WithEngine"},
 	}
 	for _, c := range cases {
 		q := MustCompile(c.query, c.opts...)
@@ -195,41 +203,108 @@ func TestStacklessAutoDispatch(t *testing.T) {
 	}
 }
 
-// TestRunPlanned: the returned plan matches Explain, the matches match Run,
-// and ExpectedRuns past the break-even yields the indexed *advice* while
-// the run still scans (no index is in hand).
-func TestRunPlanned(t *testing.T) {
-	doc := []byte(`{"a": 1, "n": {"a": 2}}`)
-	q := MustCompile("$..a")
-	var offs []int
-	pl, err := q.RunPlanned(doc, DocStats{}, func(pos int) { offs = append(offs, pos) })
+// surfaceRunner records which engine surface a run entered: the in-memory
+// scan, the buffered stream, or the planes of an index.
+type surfaceRunner struct {
+	inner *engine.Engine
+	last  string
+}
+
+func (r *surfaceRunner) Run(data []byte, emit func(pos int)) error {
+	r.last = "scan"
+	return r.inner.Run(data, emit)
+}
+
+func (r *surfaceRunner) RunInput(in input.Input, emit func(pos int)) error {
+	r.last = "stream"
+	return r.inner.RunInput(in, emit)
+}
+
+func (r *surfaceRunner) RunPlanes(in input.Input, planes *classifier.Planes, emit func(pos int)) error {
+	r.last = "planes"
+	return r.inner.RunPlanes(in, planes, emit)
+}
+
+// TestRunFollowsExplain: every run method executes the plan Explain
+// reports for the same document stats — the engine it names (Outcome.Engine
+// of the supervised methods) and, for the accelerated engine, the surface
+// the plan implies: the planes for "indexed", the stream for a reader, the
+// in-place scan otherwise. The matches agree across all of them.
+func TestRunFollowsExplain(t *testing.T) {
+	doc := []byte(`{"a": 1, "n": {"a": 2, "b": {"a": 3}}}`)
+	want := []int{6, 20, 34}
+	idx, err := Index(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Strategy != "head-skip" {
-		t.Fatalf("plan = %+v", pl)
+	variants := []struct {
+		name string
+		opts []Option
+	}{
+		{"auto", nil},
+		{"auto-noheadskip", []Option{WithOptimizations(Optimizations{NoHeadSkip: true})}},
+		{"forced", []Option{WithEngine(EngineRsonpath)}},
+		{"watchdog", []Option{WithTimeout(time.Minute)}},
 	}
-	if fmt.Sprint(offs) != fmt.Sprint([]int{6, 20}) {
-		t.Fatalf("offsets = %v", offs)
+	for _, v := range variants {
+		q := MustCompile("$..a", v.opts...)
+		sr := &surfaceRunner{inner: q.run.(*engine.Engine)}
+		q.run = sr
+		type call struct {
+			name    string
+			stats   DocStats
+			surface string // the accelerated engine's surface; "" for other engines
+			run     func(emit func(pos int)) (Outcome, error)
+		}
+		calls := []call{
+			{"RunSupervised", DocStats{Bytes: len(doc)}, "scan", func(emit func(int)) (Outcome, error) {
+				return q.RunSupervised(context.Background(), doc, emit)
+			}},
+			{"RunIndexedSupervised", DocStats{Bytes: len(doc), Indexed: true}, "", func(emit func(int)) (Outcome, error) {
+				return q.RunIndexedSupervised(context.Background(), idx, emit)
+			}},
+			{"RunReaderSupervised", DocStats{Streaming: true}, "stream", func(emit func(int)) (Outcome, error) {
+				return q.RunReaderSupervised(context.Background(),
+					func() (io.Reader, error) { return bytes.NewReader(doc), nil }, emit)
+			}},
+		}
+		for _, c := range calls {
+			plan := q.Explain(c.stats)
+			sr.last = ""
+			var got []int
+			oc, err := c.run(func(pos int) { got = append(got, pos) })
+			if err != nil {
+				t.Fatalf("[%s] %s: %v", v.name, c.name, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("[%s] %s offsets %v, want %v", v.name, c.name, got, want)
+			}
+			if oc.Engine != plan.Engine.String() {
+				t.Fatalf("[%s] %s ran engine %q, Explain says %v", v.name, c.name, oc.Engine, plan)
+			}
+			wantSurface := c.surface
+			if plan.Strategy == "indexed" {
+				wantSurface = "planes"
+			} else if wantSurface == "" {
+				wantSurface = "scan"
+			}
+			if plan.Engine != EngineRsonpath {
+				wantSurface = "" // the stackless alternate ran, not q.run
+			}
+			if sr.last != wantSurface {
+				t.Fatalf("[%s] %s entered %q, Explain's plan %v implies %q", v.name, c.name, sr.last, plan, wantSurface)
+			}
+		}
 	}
 
-	// A repeat workload on a child query earns the indexed *advice*, while
-	// the run itself still scans (no index is in hand). Head-skip queries
+	// A repeat workload on a child query earns the indexed *advice*: build
+	// the index, serve from it, same answer as the scan. Head-skip queries
 	// like $..a never get the advice — memmem cannot be served from planes.
 	qc := MustCompile("$.n.a")
-	offs = nil
-	pl, err = qc.RunPlanned(doc, DocStats{ExpectedRuns: 64}, func(pos int) { offs = append(offs, pos) })
-	if err != nil {
-		t.Fatal(err)
+	if p := qc.Explain(DocStats{Bytes: len(doc), ExpectedRuns: 64}); p.Strategy != "indexed" || p.Rule != "index-amortizes" {
+		t.Fatalf("plan = %+v, want indexed advice", p)
 	}
-	if pl.Strategy != "indexed" || pl.Rule != "index-amortizes" {
-		t.Fatalf("plan = %+v, want indexed advice", pl)
-	}
-	if fmt.Sprint(offs) != fmt.Sprint([]int{20}) {
-		t.Fatalf("advisory plan must still scan; offsets = %v", offs)
-	}
-	// Acting on the advice: build the index, serve from it, same answer.
-	idx, err := Index(doc)
+	cold, err := qc.MatchOffsets(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,21 +312,21 @@ func TestRunPlanned(t *testing.T) {
 	if err := qc.RunIndexed(idx, func(pos int) { warm = append(warm, pos) }); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(warm) != fmt.Sprint(offs) {
-		t.Fatalf("indexed offsets %v != scan %v", warm, offs)
+	if fmt.Sprint(warm) != fmt.Sprint(cold) || fmt.Sprint(cold) != "[20]" {
+		t.Fatalf("indexed offsets %v, scan %v, want [20]", warm, cold)
 	}
 }
 
 // TestQueryCachePlannerKey is the collision regression: the same query text
-// under different planner configurations must compile (and cache) as
-// distinct artifacts — a cached plan must not leak across option sets.
+// under different planner constraints must compile (and cache) as distinct
+// artifacts — a cached plan must not leak across option sets.
 func TestQueryCachePlannerKey(t *testing.T) {
 	cache := NewQueryCache(16)
 	auto, err := cache.Get("$..a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := cache.Get("$..a", WithPlanner(PlannerOff))
+	noHead, err := cache.Get("$..a", WithOptimizations(Optimizations{NoHeadSkip: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,23 +334,25 @@ func TestQueryCachePlannerKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto == off || auto == forced || off == forced {
+	if auto == noHead || auto == forced || noHead == forced {
 		t.Fatal("planner configurations collided in the cache")
 	}
 	if n := cache.Len(); n != 3 {
 		t.Fatalf("cache holds %d entries, want 3", n)
 	}
 	// Same config twice is still one entry (the key is canonical).
-	again, err := cache.Get("$..a", WithPlanner(PlannerOff))
+	again, err := cache.Get("$..a", WithEngine(EngineRsonpath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != off {
+	if again != forced {
 		t.Fatal("identical options missed the cache")
 	}
-	// The cached artifacts really do plan differently.
-	if auto.Explain(DocStats{ExpectedRuns: 64}).Rule == off.Explain(DocStats{ExpectedRuns: 64}).Rule {
-		t.Fatal("auto and planner-off artifacts plan identically")
+	// The cached artifacts really do plan differently: the same engine kind,
+	// forced or not, is a different planner constraint.
+	dense := DocStats{DenseMatches: true}
+	if auto.Explain(dense).Rule == forced.Explain(dense).Rule {
+		t.Fatal("auto and forced artifacts plan identically")
 	}
 }
 
@@ -292,6 +369,15 @@ func TestQuerySetExplain(t *testing.T) {
 	mixed := MustCompileSet([]string{"$..a", "$.b[*]"})
 	if p := mixed.Explain(DocStats{}); p.Strategy != "standard" {
 		t.Fatalf("mixed set plan = %+v", p)
+	}
+	// WithEngine forces the set's driver as the same planner constraint as
+	// a Query's, still upgraded to the planes of an index in hand.
+	forced := MustCompileSet([]string{"$..a", "$..b"}, WithEngine(EngineRsonpath))
+	if p := forced.Explain(DocStats{}); p.Strategy != "head-skip" || p.Rule != "forced-engine" {
+		t.Fatalf("forced set plan = %+v", p)
+	}
+	if p := forced.Explain(DocStats{Indexed: true}); p.Strategy != "indexed" {
+		t.Fatalf("forced set plan with index = %+v", p)
 	}
 }
 

@@ -43,13 +43,11 @@ type cacheKey struct {
 	query string
 	set   bool
 	kind  EngineKind
-	// kindSet and planner are part of the key: under the plan layer the
-	// same (query, kind) pair compiles differently depending on whether the
-	// engine was forced (WithEngine is a planner constraint) and on the
-	// planner mode, so a cached query must not carry its plan behavior
-	// across differing option sets.
+	// kindSet is part of the key: under the plan layer the same
+	// (query, kind) pair compiles differently depending on whether the
+	// engine was forced (WithEngine is a planner constraint), so a cached
+	// query must not carry its plan behavior across differing option sets.
 	kindSet   bool
-	planner   PlannerMode
 	opt       Optimizations
 	semantics Semantics
 	window    int
@@ -82,7 +80,6 @@ func keyFor(query string, set bool, opts []Option) cacheKey {
 		set:       set,
 		kind:      c.kind,
 		kindSet:   c.kindSet,
-		planner:   c.planner,
 		opt:       c.opt,
 		semantics: c.semantics,
 		window:    c.window,

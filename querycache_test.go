@@ -45,8 +45,9 @@ func TestQueryCacheOptionsKeyed(t *testing.T) {
 	if qa == qb {
 		t.Fatalf("different options returned the same entry")
 	}
-	if qa.Engine() != EngineRsonpath || qb.Engine() != EngineDOM {
-		t.Fatalf("engines = %v, %v", qa.Engine(), qb.Engine())
+	ea, eb := qa.Explain(DocStats{}).Engine, qb.Explain(DocStats{}).Engine
+	if ea != EngineRsonpath || eb != EngineDOM {
+		t.Fatalf("engines = %v, %v", ea, eb)
 	}
 	qc, err := c.Get("$.a", WithMaxMatches(3))
 	if err != nil {

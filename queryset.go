@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"rsonpath/internal/automaton"
 	"rsonpath/internal/classifier"
+	"rsonpath/internal/dom"
 	"rsonpath/internal/input"
 	"rsonpath/internal/jsonpath"
 	"rsonpath/internal/multiquery"
@@ -40,25 +42,25 @@ var errSetEngine = errors.New("rsonpath: QuerySet requires EngineRsonpath")
 type QuerySet struct {
 	sources []string
 	// parsed keeps the member queries' ASTs for the supervisor's per-query
-	// DOM-oracle fallback (supervisor.go).
+	// DOM-oracle fallback (runOracle).
 	parsed []*jsonpath.Query
 	set    setRunner
-	window int // RunReader window size; 0 = DefaultStreamWindow
-	limits limits
-	sup    supervision
+	pol    policy // limits, stream window and supervision (exec.go)
 
-	// Plan layer: the planner mode and the union shape of the member
-	// queries. The shared one-pass driver is always the accelerated engine,
-	// so the set's planning decisions are the scan-vs-planes choice and the
-	// reported scan flavor, not an engine choice.
-	mode  PlannerMode
-	shape planner.Shape
+	// Plan layer: whether WithEngine forced the engine, and the union shape
+	// of the member queries. The shared one-pass driver is always the
+	// accelerated engine, so the set's planning decisions are the
+	// scan-vs-planes choice and the reported scan flavor, not an engine
+	// choice.
+	forced bool
+	shape  planner.Shape
 }
 
 // CompileSet parses and compiles a set of JSONPath expressions for one-pass
 // evaluation. The only supported engine is EngineRsonpath (the default);
-// path semantics is not supported. An empty set is valid and matches
-// nothing.
+// WithEngine(EngineRsonpath) forces it as a planner constraint, exactly as
+// for a Query. Path semantics is not supported. An empty set is valid and
+// matches nothing.
 func CompileSet(queries []string, opts ...Option) (*QuerySet, error) {
 	var c config
 	for _, o := range opts {
@@ -84,12 +86,11 @@ func CompileSet(queries []string, opts ...Option) (*QuerySet, error) {
 			return nil, fmt.Errorf("query %d (%s): %w", i, src, err)
 		}
 	}
-	lim := c.resolveLimits()
+	pol := c.resolvePolicy()
 	set := multiquery.New(dfas)
-	set.Limits(lim.maxDepth, lim.maxDocBytes)
-	return &QuerySet{sources: sources, parsed: parsedAll, set: set, window: c.window,
-		limits: lim, sup: c.resolveSupervision(),
-		mode: c.planner, shape: setShape(parsedAll)}, nil
+	set.Limits(pol.limits.maxDepth, pol.limits.maxDocBytes)
+	return &QuerySet{sources: sources, parsed: parsedAll, set: set, pol: pol,
+		forced: c.kindSet, shape: setShape(parsedAll)}, nil
 }
 
 // setShape is the union shape of the member queries: the shared pass can
@@ -111,12 +112,13 @@ func setShape(parsedAll []*jsonpath.Query) planner.Shape {
 
 // plan runs the decision rules for the set over the given stats. The set's
 // engine is structurally pinned to the accelerated one-pass driver, so only
-// the planner mode, the watchdog, and the document stats bind.
+// a forced engine (WithEngine(EngineRsonpath)), the watchdog, and the
+// document stats bind.
 func (s *QuerySet) plan(stats planner.DocStats) planner.Plan {
 	return planner.Decide(s.shape, stats, planner.Constraints{
-		PlannerOff:     s.mode == PlannerOff,
+		Forced:         s.forced,
 		ForcedStrategy: strategyForKind(EngineRsonpath, s.shape),
-		WatchdogArmed:  s.sup.timeout > 0,
+		WatchdogArmed:  s.pol.sup.timeout > 0,
 	})
 }
 
@@ -154,17 +156,8 @@ func (s *QuerySet) Source(i int) string { return s.sources[i] }
 // Malformed input surfaces as *MalformedError, a configured limit being hit
 // as *LimitError, and an internal fault as *InternalError (never a panic).
 func (s *QuerySet) Run(data []byte, emit func(query, pos int)) error {
-	if s.sup.timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), s.sup.timeout)
-		defer cancel()
-		return s.runCtx(ctx, data, emit)
-	}
-	if err := s.limits.checkDocBytes(len(data)); err != nil {
-		return err
-	}
-	return guardRun("queryset", func() error {
-		return s.set.Run(data, s.limits.limitEmit2(emit))
-	})
+	_, err := execute(context.Background(), s, source{data: data}, sink{pair: emit}, s.pol)
+	return err
 }
 
 // Counts returns the number of matches of each query, indexed like the
@@ -187,4 +180,55 @@ func (s *QuerySet) MatchOffsets(data []byte) ([][]int, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// dispatch, eval, hasOracle, runOracle and collect make QuerySet the core's
+// one-pass evaluator (exec.go).
+
+func (s *QuerySet) dispatch(stats planner.DocStats) (planner.Plan, string, bool) {
+	return s.plan(stats), "queryset", true
+}
+
+func (s *QuerySet) eval(_ planner.Plan, data []byte, in input.Input, doc *IndexedDocument, k sink) error {
+	switch {
+	case doc != nil:
+		return s.set.RunPlanes(doc.in, doc.planes, k.pair)
+	case in != nil:
+		return s.set.RunInput(in, k.pair)
+	default:
+		return s.set.Run(data, k.pair)
+	}
+}
+
+func (s *QuerySet) hasOracle() bool { return true }
+
+// runOracle evaluates every member query on the DOM oracle over one parse
+// of the document and replays the union in the shared pass's order: by
+// offset, then by query index.
+func (s *QuerySet) runOracle(data []byte, k sink) error {
+	root, err := dom.ParseLimit(data, s.pol.limits.maxDepth)
+	if err != nil {
+		return err
+	}
+	type match struct{ query, pos int }
+	var all []match
+	for qi, parsed := range s.parsed {
+		for _, n := range dom.Eval(root, parsed, dom.NodeSemantics) {
+			all = append(all, match{query: qi, pos: n.Start})
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		if all[i].pos != all[j].pos {
+			return all[i].pos < all[j].pos
+		}
+		return all[i].query < all[j].query
+	})
+	for _, m := range all {
+		k.pair(m.query, m.pos)
+	}
+	return nil
+}
+
+func (s *QuerySet) collect(buf *[]int) sink {
+	return sink{pair: func(query, pos int) { *buf = append(*buf, query, pos) }}
 }

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"rsonpath/internal/automaton"
+	"rsonpath/internal/classifier"
 	"rsonpath/internal/dom"
 	"rsonpath/internal/engine"
+	"rsonpath/internal/input"
 	"rsonpath/internal/jsonpath"
 	"rsonpath/internal/planner"
 	"rsonpath/internal/ski"
@@ -61,10 +63,34 @@ func (k EngineKind) String() string {
 	}
 }
 
-// ErrUnsupportedQuery is returned when a query uses selectors the chosen
-// engine cannot execute (EngineSki's fragment and EngineStackless's
-// descendant-only chains).
-var ErrUnsupportedQuery = ski.ErrUnsupported
+// ErrUnsupportedQuery is matched (via errors.Is) by the Compile error of a
+// query that uses selectors the chosen engine cannot execute (EngineSki's
+// fragment and EngineStackless's descendant-only chains). The error names
+// the refusing engine and the first selector it rejects.
+var ErrUnsupportedQuery = errors.New("rsonpath: query uses selectors the chosen engine does not support")
+
+// skiSelector reports whether EngineSki's fragment covers sel: a child
+// label or a wildcard.
+func skiSelector(sel *jsonpath.Selector) bool {
+	return !sel.Descendant && !sel.SelectsIndices() && len(sel.Labels) <= 1
+}
+
+// stacklessSelector reports whether EngineStackless's fragment covers sel:
+// a descendant with one label.
+func stacklessSelector(sel *jsonpath.Selector) bool {
+	return sel.Descendant && !sel.Wildcard && len(sel.Labels) == 1 && !sel.SelectsIndices()
+}
+
+// unsupported is the Compile error for a query outside kind's fragment:
+// it names the engine and the first selector the fragment does not cover.
+func unsupported(kind EngineKind, parsed *jsonpath.Query, covers func(*jsonpath.Selector) bool) error {
+	for i := range parsed.Selectors {
+		if sel := &parsed.Selectors[i]; !covers(sel) {
+			return fmt.Errorf("%w: engine %s rejects selector %s", ErrUnsupportedQuery, kind, sel)
+		}
+	}
+	return fmt.Errorf("%w: engine %s rejects the selector-free query %s", ErrUnsupportedQuery, kind, parsed)
+}
 
 // Optimizations toggles the accelerated engine's skipping techniques
 // (§3.3 of the paper); all are enabled by default. Used by the ablation
@@ -86,8 +112,7 @@ type Option func(*config)
 
 type config struct {
 	kind      EngineKind
-	kindSet   bool        // WithEngine was given: the engine is a forced planner constraint
-	planner   PlannerMode // WithPlanner; PlannerAuto by default
+	kindSet   bool // WithEngine was given: the engine is a forced planner constraint
 	opt       Optimizations
 	semantics Semantics
 	window    int // RunReader window size; 0 = DefaultStreamWindow
@@ -120,9 +145,15 @@ func WithOptimizations(o Optimizations) Option {
 	return func(c *config) { c.opt = o }
 }
 
-// runner is the common surface of the three engines.
+// runner is the common surface of the engines.
 type runner interface {
 	Run(data []byte, emit func(pos int)) error
+}
+
+// planeRunner is the surface of the accelerated engine that evaluates over
+// an IndexedDocument's precomputed mask planes.
+type planeRunner interface {
+	RunPlanes(in input.Input, planes *classifier.Planes, emit func(pos int)) error
 }
 
 // Query is a compiled JSONPath query, immutable and safe for concurrent
@@ -132,19 +163,16 @@ type Query struct {
 	parsed *jsonpath.Query
 	kind   EngineKind
 	run    runner
-	window int // RunReader window size; 0 = DefaultStreamWindow
-	limits limits
-	sup    supervision
+	pol    policy // limits, stream window and supervision (exec.go)
 	// oracle is the DOM reference evaluator the supervisor degrades to on
 	// internal faults; nil when the query is already EngineDOM.
 	oracle *domRunner
 
-	// Plan layer (planner_api.go): the planner mode, whether the engine
-	// was forced with WithEngine, the query-shape facts the decision rules
-	// consume, and the compiled alternate runners the planner may dispatch
-	// to. stackless is non-nil only for descendant-only label chains
-	// compiled under PlannerAuto without a forced engine.
-	mode       PlannerMode
+	// Plan layer (planner_api.go): whether the engine was forced with
+	// WithEngine, the query-shape facts the decision rules consume, and
+	// the compiled alternate runner the planner may dispatch to. stackless
+	// is non-nil only for descendant-only label chains compiled without a
+	// forced engine.
 	forced     bool
 	noHeadSkip bool
 	shape      planner.Shape
@@ -164,11 +192,10 @@ func Compile(query string, opts ...Option) (*Query, error) {
 	if c.semantics == PathSemantics && c.kind != EngineDOM {
 		return nil, errPathSemantics
 	}
-	lim := c.resolveLimits()
-	q := &Query{source: query, parsed: parsed, kind: c.kind, window: c.window,
-		limits: lim, sup: c.resolveSupervision(),
-		mode: c.planner, forced: c.kindSet, noHeadSkip: c.opt.NoHeadSkip,
-		shape: shapeOf(parsed)}
+	pol := c.resolvePolicy()
+	lim := pol.limits
+	q := &Query{source: query, parsed: parsed, kind: c.kind, pol: pol,
+		forced: c.kindSet, noHeadSkip: c.opt.NoHeadSkip, shape: shapeOf(parsed)}
 	if c.kind != EngineDOM {
 		q.oracle = &domRunner{query: parsed, semantics: dom.NodeSemantics, maxDepth: lim.maxDepth}
 	}
@@ -183,11 +210,14 @@ func Compile(query string, opts ...Option) (*Query, error) {
 		// EngineSki is exempt from the depth limit: its recursion is bounded
 		// by the query length and its fast-forwards use O(1) memory.
 		q.run, err = ski.New(parsed)
+		if errors.Is(err, ski.ErrUnsupported) {
+			err = unsupported(c.kind, parsed, skiSelector)
+		}
 	case EngineStackless:
 		var sl *engine.Stackless
 		sl, err = engine.NewStackless(parsed)
 		if errors.Is(err, engine.ErrNotStackless) {
-			err = ErrUnsupportedQuery
+			err = unsupported(c.kind, parsed, stacklessSelector)
 		}
 		if err == nil {
 			sl.LimitDepth(lim.maxDepth)
@@ -220,11 +250,10 @@ func Compile(query string, opts ...Option) (*Query, error) {
 		return nil, err
 	}
 	// Compile the planner's alternate runner: for descendant-only label
-	// chains under PlannerAuto the depth-register automaton is dispatched
-	// when head-skip is out of play (DESIGN.md §13). Compilation is a few
-	// label slices — cheap enough to do eagerly.
-	if c.planner == PlannerAuto && !c.kindSet && c.kind == EngineRsonpath &&
-		q.shape.DescendantChainOnly {
+	// chains without a forced engine the depth-register automaton is
+	// dispatched when head-skip is out of play (DESIGN.md §13). Compilation
+	// is a few label slices — cheap enough to do eagerly.
+	if !c.kindSet && c.kind == EngineRsonpath && q.shape.DescendantChainOnly {
 		if sl, slErr := engine.NewStackless(parsed); slErr == nil {
 			sl.LimitDepth(lim.maxDepth)
 			q.stackless = sl
@@ -248,30 +277,18 @@ func (q *Query) String() string { return q.parsed.String() }
 // Source returns the query text as passed to Compile.
 func (q *Query) Source() string { return q.source }
 
-// Engine returns the engine kind backing this query.
-func (q *Query) Engine() EngineKind { return q.kind }
-
 // Run streams the document once, calling emit with the byte offset of the
 // first character of every matched value, in document order. The execution
 // strategy is chosen by the planner (DESIGN.md §13); Explain exposes the
-// decision, WithEngine pins it, WithPlanner(PlannerOff) disables it.
+// decision and WithEngine pins it.
 //
 // Malformed input surfaces as *MalformedError, a configured limit being hit
-// as *LimitError, and an internal fault as *InternalError (never a panic);
-// see DESIGN.md §9 for the failure model.
+// as *LimitError, a WithTimeout deadline as an error wrapping ErrCanceled,
+// and an internal fault as *InternalError (never a panic); see DESIGN.md §9
+// for the failure model.
 func (q *Query) Run(data []byte, emit func(pos int)) error {
-	if q.sup.timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), q.sup.timeout)
-		defer cancel()
-		return q.runCtx(ctx, data, emit)
-	}
-	if err := q.limits.checkDocBytes(len(data)); err != nil {
-		return err
-	}
-	run, label := q.planRunner(planner.DocStats{Bytes: len(data)})
-	return guardRun(label, func() error {
-		return run.Run(data, q.limits.limitEmit(emit))
-	})
+	_, err := execute(context.Background(), q, source{data: data}, sink{pos: emit}, q.pol)
+	return err
 }
 
 // Count returns the number of matches in data.
@@ -288,46 +305,19 @@ func (q *Query) MatchOffsets(data []byte) ([]int, error) {
 	return out, err
 }
 
-// stopRun aborts a Query.Run from inside its emit callback; the panic is
-// recovered by the caller that armed it. The engines keep no state across
-// Run calls, so abandoning a run mid-flight is safe.
-type stopRun struct{}
-
 // MatchValues returns the raw bytes of every matched value. The returned
 // slices alias data. On the first extraction failure the scan is abandoned:
 // the values extracted so far are returned together with the extraction
 // error (a truncated match means the document cannot be trusted beyond it,
 // and scanning the remainder would be pure waste).
-func (q *Query) MatchValues(data []byte) (out [][]byte, err error) {
-	if err := q.limits.checkDocBytes(len(data)); err != nil {
+func (q *Query) MatchValues(data []byte) ([][]byte, error) {
+	var out [][]byte
+	_, err := execute(context.Background(), q, source{data: data},
+		sink{value: func(_ int, v []byte) { out = append(out, v) }}, q.pol)
+	if err != nil && !errors.Is(err, errTruncated) {
 		return nil, err
 	}
-	run, label := q.planRunner(planner.DocStats{Bytes: len(data)})
-	var extractErr error
-	runErr := guardRun(label, func() error {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stopRun); !ok {
-					panic(r)
-				}
-			}
-		}()
-		return run.Run(data, q.limits.limitEmit(func(pos int) {
-			v, err := ValueAt(data, pos)
-			if err != nil {
-				extractErr = err
-				panic(stopRun{})
-			}
-			out = append(out, v)
-		}))
-	})
-	if extractErr != nil {
-		return out, extractErr
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return out, nil
+	return out, err
 }
 
 // CountReader streams the document from r and counts matches, with memory
@@ -344,6 +334,41 @@ func (q *Query) CountReader(r io.Reader) (int, error) {
 	}
 	err := q.RunReader(r, func(int) { n++ })
 	return n, err
+}
+
+// dispatch, eval, hasOracle, runOracle and collect make Query the core's
+// single-query evaluator (exec.go).
+
+func (q *Query) dispatch(stats planner.DocStats) (planner.Plan, string, bool) {
+	if _, ok := q.run.(planeRunner); !ok {
+		// No plane surface (a baseline engine): an index in hand changes
+		// nothing.
+		stats.Indexed = false
+	}
+	p := q.plan(stats)
+	r, label := q.runnerFor(p)
+	_, streams := r.(inputRunner)
+	return p, label, streams
+}
+
+func (q *Query) eval(p planner.Plan, data []byte, in input.Input, doc *IndexedDocument, s sink) error {
+	r, _ := q.runnerFor(p)
+	switch {
+	case doc != nil:
+		return q.run.(planeRunner).RunPlanes(doc.in, doc.planes, s.pos)
+	case in != nil:
+		return r.(inputRunner).RunInput(in, s.pos)
+	default:
+		return r.Run(data, s.pos)
+	}
+}
+
+func (q *Query) hasOracle() bool { return q.oracle != nil }
+
+func (q *Query) runOracle(data []byte, s sink) error { return q.oracle.Run(data, s.pos) }
+
+func (q *Query) collect(buf *[]int) sink {
+	return sink{pos: func(pos int) { *buf = append(*buf, pos) }}
 }
 
 // errTruncated is returned by ValueAt on values that do not end within the

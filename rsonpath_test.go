@@ -1,6 +1,7 @@
 package rsonpath
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -123,8 +124,36 @@ func TestEnginesAgree(t *testing.T) {
 }
 
 func TestSkiRejectsDescendants(t *testing.T) {
-	if _, err := Compile("$..a", WithEngine(EngineSki)); err != ErrUnsupportedQuery {
+	if _, err := Compile("$..a", WithEngine(EngineSki)); !errors.Is(err, ErrUnsupportedQuery) {
 		t.Fatalf("err = %v, want ErrUnsupportedQuery", err)
+	}
+}
+
+// TestUnsupportedQueryNamesEngine: the sentinel is the library's own, and
+// the error names the refusing engine and the first rejected selector.
+func TestUnsupportedQueryNamesEngine(t *testing.T) {
+	cases := []struct {
+		query string
+		kind  EngineKind
+		want  string
+	}{
+		{"$.a..b", EngineSki, "engine ski rejects selector ..b"},
+		{"$.a[1]", EngineSki, "engine ski rejects selector [1]"},
+		{"$.a..b", EngineStackless, "engine stackless rejects selector .a"},
+		{"$..a.*", EngineStackless, "engine stackless rejects selector .*"},
+		{"$", EngineStackless, "engine stackless rejects the selector-free query $"},
+	}
+	for _, c := range cases {
+		_, err := Compile(c.query, WithEngine(c.kind))
+		if !errors.Is(err, ErrUnsupportedQuery) {
+			t.Fatalf("%s on %v: err %v, want ErrUnsupportedQuery", c.query, c.kind, err)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s on %v: err %q, want it to contain %q", c.query, c.kind, err, c.want)
+		}
+		if strings.Contains(err.Error(), "JSONSki") && c.kind != EngineSki {
+			t.Errorf("%s on %v: err %q blames another engine", c.query, c.kind, err)
+		}
 	}
 }
 
@@ -158,7 +187,7 @@ func TestQueryAccessors(t *testing.T) {
 	if q.String() != "$.store.book" {
 		t.Errorf("String = %q", q.String())
 	}
-	if q.Engine() != EngineSurfer {
+	if q.Explain(DocStats{}).Engine != EngineSurfer {
 		t.Error("Engine mismatch")
 	}
 	if EngineRsonpath.String() != "rsonpath" || EngineSki.String() != "ski" ||
@@ -369,7 +398,7 @@ func TestEngineStackless(t *testing.T) {
 	if EngineStackless.String() != "stackless" {
 		t.Error("EngineStackless name")
 	}
-	if _, err := Compile("$.a..b", WithEngine(EngineStackless)); err != ErrUnsupportedQuery {
+	if _, err := Compile("$.a..b", WithEngine(EngineStackless)); !errors.Is(err, ErrUnsupportedQuery) {
 		t.Fatalf("mixed query err = %v, want ErrUnsupportedQuery", err)
 	}
 }

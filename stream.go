@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"rsonpath/internal/input"
-	"rsonpath/internal/planner"
 )
 
 // ErrStreamingUnsupported is returned by the RunReader family for engines
@@ -40,27 +39,15 @@ type inputRunner interface {
 // emit with the byte offset of the first character of every matched value,
 // in document order. Memory is bounded by the configured stream window
 // (WithStreamWindow) regardless of document size. Supported by every
-// engine except EngineDOM, which returns ErrStreamingUnsupported.
+// engine except EngineDOM, which returns ErrStreamingUnsupported. A
+// WithTimeout deadline is observed at every window refill, even while r
+// blocks.
 //
 // Malformed input surfaces as *MalformedError, a configured limit being hit
 // as *LimitError, and an internal fault as *InternalError (never a panic).
 func (q *Query) RunReader(r io.Reader, emit func(pos int)) error {
-	sr, label, ok := q.planInputRunner(planner.DocStats{})
-	if !ok {
-		return ErrStreamingUnsupported
-	}
-	if q.sup.timeout > 0 {
-		// The watchdog deadline needs the cancellation plumbing.
-		return q.RunReaderContext(context.Background(), r, emit)
-	}
-	in := input.NewBuffered(r, q.window)
-	defer in.Release()
-	if q.limits.maxDocBytes > 0 {
-		in.LimitDocBytes(q.limits.maxDocBytes)
-	}
-	return guardRun(label, func() error {
-		return sr.RunInput(in, q.limits.limitEmit(emit))
-	})
+	_, err := execute(context.Background(), q, source{r: r}, sink{pos: emit}, q.pol)
+	return err
 }
 
 // RunReaderValues streams a single document from r, calling visit with the
@@ -68,38 +55,10 @@ func (q *Query) RunReader(r io.Reader, emit func(pos int)) error {
 // aliases the stream's window and is valid only during the visit call; a
 // matched value larger than the window's capacity aborts the run with
 // *input.Error. Engines that cannot stream return ErrStreamingUnsupported.
+// A WithTimeout deadline applies as in RunReader.
 func (q *Query) RunReaderValues(r io.Reader, visit func(pos int, value []byte)) error {
-	sr, label, ok := q.planInputRunner(planner.DocStats{})
-	if !ok {
-		return ErrStreamingUnsupported
-	}
-	in := input.NewBuffered(r, q.window)
-	defer in.Release()
-	if q.limits.maxDocBytes > 0 {
-		in.LimitDocBytes(q.limits.maxDocBytes)
-	}
-	var extractErr error
-	runErr := guardRun(label, func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stopRun); !ok {
-					panic(r)
-				}
-			}
-		}()
-		return sr.RunInput(in, q.limits.limitEmit(func(pos int) {
-			v, err := valueBytesAt(in, pos)
-			if err != nil {
-				extractErr = err
-				panic(stopRun{})
-			}
-			visit(pos, v)
-		}))
-	})
-	if extractErr != nil {
-		return extractErr
-	}
-	return runErr
+	_, err := execute(context.Background(), q, source{r: r}, sink{value: visit}, q.pol)
+	return err
 }
 
 // valueBytesAt delimits the complete JSON value starting at pos and returns
@@ -191,17 +150,9 @@ func valueBytesAt(in input.Input, pos int) ([]byte, error) {
 // RunReader streams a single document from r through the set's shared
 // classification pass, calling emit with the query index and the byte
 // offset of every matched value. Memory is bounded by the configured
-// stream window regardless of document size.
+// stream window regardless of document size; a WithTimeout deadline
+// applies as in Query.RunReader.
 func (s *QuerySet) RunReader(r io.Reader, emit func(query, pos int)) error {
-	if s.sup.timeout > 0 {
-		return s.RunReaderContext(context.Background(), r, emit)
-	}
-	in := input.NewBuffered(r, s.window)
-	defer in.Release()
-	if s.limits.maxDocBytes > 0 {
-		in.LimitDocBytes(s.limits.maxDocBytes)
-	}
-	return guardRun("queryset", func() error {
-		return s.set.RunInput(in, s.limits.limitEmit2(emit))
-	})
+	_, err := execute(context.Background(), s, source{r: r}, sink{pair: emit}, s.pol)
+	return err
 }
