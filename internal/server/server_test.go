@@ -32,6 +32,10 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	done := make(chan error, 1)
 	go func() { done <- s.Serve() }()
 	t.Cleanup(func() {
+		// The shared client transport may hold a connection it dialed but
+		// never sent a request on; the server counts it as new, not idle,
+		// and Shutdown waits 5 s for it — as long as the deadline below.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
